@@ -82,7 +82,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--checkpoint-every", type=int, default=64, metavar="N",
-        help="journal appends between snapshot compactions (default 64)",
+        help="minimum journal appends between snapshot compactions; a "
+             "compaction also waits for the journal to outgrow the last "
+             "snapshot (default 64)",
     )
     parser.add_argument(
         "--resume", action="store_true",

@@ -210,7 +210,8 @@ class ScaleConfig:
     #: + atomic snapshots); ``None`` disables checkpointing entirely and
     #: the pipeline behaves bit-identically to a journal-less run
     checkpoint_dir: str | None = None
-    #: journal appends between snapshot compactions
+    #: minimum journal appends between snapshot compactions (a compaction
+    #: also waits until the journal has outgrown the last snapshot)
     checkpoint_every: int = 64
     #: continue an existing checkpoint instead of refusing to touch it
     resume: bool = False

@@ -10,9 +10,15 @@ survive the *process* failing:
 * :class:`CrawlJournal` — an append-only JSONL write-ahead log.  Each
   completed :class:`~repro.crawler.crawler.CrawlRecord` is one
   self-delimiting, per-line-checksummed entry carrying the full record
-  *and* the transport/executor state needed to continue the crawl
-  deterministically.  Periodically the journal compacts into a single
-  checksummed snapshot file,
+  *and* the delta of the transport/executor state since the previous
+  line (:meth:`AppCrawler.delta_state
+  <repro.crawler.crawler.AppCrawler.delta_state>`): the call counters
+  and vanished apps that changed, the small scalars whole.  Folding the
+  lines in order rebuilds the state needed to continue the crawl
+  deterministically, so a line costs the same at the ten-thousandth app
+  as at the first.  Once the journal has outgrown its last snapshot it
+  compacts into a single checksummed snapshot file holding the full
+  state,
 * :class:`CrashPlan` / :exc:`SimulatedCrash` — seeded crash injection
   at configurable points inside the crawl loop, including *between*
   journal write and flush (the torn-write window).
@@ -42,6 +48,7 @@ import json
 import hashlib
 import logging
 import os
+import re
 import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -49,7 +56,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.crawler.crawler import COLLECTIONS, CrawlRecord
+from repro.crawler.crawler import COLLECTIONS, AppCrawler, CrawlRecord
 from repro.crawler.resilience import CrawlOutcome
 from repro.obs.observer import get_observer
 from repro.rng import derive_seed
@@ -287,7 +294,12 @@ def record_from_jsonable(data: dict[str, Any]) -> CrawlRecord:
 
 # -- line / snapshot encoding ----------------------------------------------
 
-_LINE_VERSION = 1
+#: 2: lines carry a state ``delta``; 1: lines carried the full ``state``
+#: (still loadable: folding a full state replaces the state)
+_LINE_VERSION = 2
+
+#: ``{"app_id":"…"`` — how every canonical line body starts (sorted keys)
+_APP_ID_PREFIX = re.compile(rb'^\{"app_id":("(?:[^"\\]|\\.)*")')
 
 
 def _canonical(payload: dict) -> bytes:
@@ -321,6 +333,91 @@ def _decode_line(line: bytes) -> dict | None:
     return payload
 
 
+def _claimed_app(line: bytes) -> str:
+    """Best-effort name of the app a quarantined journal line was for.
+
+    The whole body if it still parses; otherwise the canonical
+    ``{"app_id":"…"`` prefix every line body starts with — a flipped
+    byte further along leaves the app still named.
+    """
+    try:
+        _, body = line.split(b"\t", 1)
+    except ValueError:
+        return "<unidentifiable>"
+    try:
+        return str(json.loads(body)["app_id"])
+    except (ValueError, KeyError, TypeError):  # corrupt by definition
+        pass
+    match = _APP_ID_PREFIX.match(body)
+    if match is not None:
+        try:
+            return str(json.loads(match.group(1)))
+        except ValueError:
+            pass
+    return "<unidentifiable>"
+
+
+class _StateFold:
+    """The crawler state a journal's lines fold to.
+
+    The growing parts of the state — the ``(endpoint, app)`` call
+    counters and the two vanished-app sets — live in mutable containers,
+    so folding a line's delta costs as much as the delta; the
+    :meth:`AppCrawler.snapshot_state
+    <repro.crawler.crawler.AppCrawler.snapshot_state>` dict is built
+    only on demand (resume, compaction).  Everything else in a line's
+    state is a small scalar, and the latest line's value wins.
+    """
+
+    def __init__(self) -> None:
+        #: the latest state with the growing parts taken out
+        self.scalars: dict | None = None
+        self.calls: dict[tuple[str, str], int] = {}
+        self.vanished: set[str] = set()
+        self.stats_vanished: set[str] = set()
+        #: does the transport keep fault bookkeeping at all?
+        self.faulty = False
+
+    def fold(self, delta: dict, replace: bool = False) -> None:
+        """Apply one line's state; ``replace`` for a full state (v1 lines)."""
+        if replace:
+            self.calls.clear()
+            self.vanished.clear()
+            self.stats_vanished.clear()
+        transport = dict(delta["transport"])
+        stats = dict(transport["stats"])
+        self.stats_vanished.update(stats.pop("vanished", ()))
+        transport["stats"] = stats
+        self.faulty = "call_index" in transport
+        self.vanished.update(transport.pop("vanished", ()))
+        for endpoint, app_id, count in transport.pop("call_index", ()):
+            self.calls[(endpoint, app_id)] = count
+        self.scalars = {**delta, "transport": transport}
+
+    def forget(self, app_ids: set[str]) -> None:
+        """Drop the fault bookkeeping of *app_ids* (re-crawled from zero)."""
+        self.calls = {
+            key: count for key, count in self.calls.items()
+            if key[1] not in app_ids
+        }
+        self.vanished -= app_ids
+
+    def state(self) -> dict | None:
+        if self.scalars is None:
+            return None
+        transport = dict(self.scalars["transport"])
+        transport["stats"] = {
+            **transport["stats"], "vanished": sorted(self.stats_vanished)
+        }
+        if self.faulty:
+            transport["vanished"] = sorted(self.vanished)
+            transport["call_index"] = [
+                [endpoint, app_id, count]
+                for (endpoint, app_id), count in sorted(self.calls.items())
+            ]
+        return {**self.scalars, "transport": transport}
+
+
 class CrawlJournal:
     """Write-ahead log + snapshot making a crawl kill-anywhere resumable.
 
@@ -328,12 +425,22 @@ class CrawlJournal:
 
     ``journal.jsonl``
         One checksummed line per durable app: the full crawl record plus
-        the crawler state *after* that app (transport clock, fault-plan
-        bookkeeping, breaker states, installer RNG).
+        the crawler state *delta* since the previous line — the
+        transport clock, installer RNG and breaker states whole, the
+        fault-plan call counters and vanished apps only where they
+        changed.  Loading folds the deltas in order onto the snapshot's
+        state; :attr:`state` is then exactly what
+        :meth:`AppCrawler.snapshot_state
+        <repro.crawler.crawler.AppCrawler.snapshot_state>` returned
+        after the last durable app.  Version-1 lines, which carried the
+        full state, still load: folding a full state replaces the state.
     ``snapshot.json``
-        Periodic compaction of the journal (every ``snapshot_every``
-        appends) into one checksummed file, written atomically; the
-        journal restarts empty afterwards.
+        Compaction of the journal into one checksummed file with the
+        records and the full state, written atomically; the journal
+        restarts empty afterwards.  It fires once ``snapshot_every``
+        appends have passed *and* the journal has outgrown the last
+        snapshot, so snapshots are rewritten at geometrically spaced
+        sizes and total compaction work stays linear in the crawl.
     ``meta.json``
         The configuration fingerprint the journal was written under;
         resuming with a different configuration is refused loudly.
@@ -365,8 +472,11 @@ class CrawlJournal:
         self.snapshot_every = snapshot_every
         #: app_id -> jsonable record, in durability order
         self._records: dict[str, dict] = {}
-        self._state: dict | None = None
+        self._fold = _StateFold()
         self._since_compact = 0
+        #: journal bytes since the last compaction, and that snapshot's size
+        self._journal_bytes = 0
+        self._snapshot_bytes = 0
         #: apps whose journal lines were quarantined at open (best-effort
         #: identification: a corrupt line may not name its app at all)
         self.quarantined: tuple[str, ...] = ()
@@ -420,8 +530,9 @@ class CrawlJournal:
         path = self.snapshot_path
         if not path.exists():
             return
+        raw = path.read_bytes()
         try:
-            doc = json.loads(path.read_text(encoding="utf-8"))
+            doc = json.loads(raw.decode("utf-8"))
             payload = doc["payload"]
             if hashlib.sha256(_canonical(payload)).hexdigest() != doc["sha256"]:
                 raise ValueError("snapshot checksum mismatch")
@@ -436,7 +547,8 @@ class CrawlJournal:
             )
             return
         self._records.update(records)
-        self._state = state
+        self._fold.fold(state, replace=True)
+        self._snapshot_bytes = len(raw)
 
     def _load_journal(self) -> None:
         path = self.journal_path
@@ -463,9 +575,12 @@ class CrawlJournal:
             good.append((piece, payload))
         for _, payload in good:
             self._records[payload["app_id"]] = payload["record"]
-        if good:
-            self._state = good[-1][1]["state"]
+            if "state" in payload:  # a version-1 line: the full state
+                self._fold.fold(payload["state"], replace=True)
+            else:
+                self._fold.fold(payload["delta"])
         self._since_compact = len(good)
+        self._journal_bytes = sum(len(piece) + 1 for piece, _ in good)
         if bad:
             self._quarantine_lines(bad)
         if bad or torn:
@@ -482,28 +597,15 @@ class CrawlJournal:
         with open(corrupt_path, "wb") as sidecar:
             for line in lines:
                 sidecar.write(line + b"\n")
-        claimed = []
-        for line in lines:
-            try:  # best-effort: name the app if the payload still parses
-                _, body = line.split(b"\t", 1)
-                claimed.append(str(json.loads(body)["app_id"]))
-            except Exception:  # noqa: BLE001 - corrupt by definition
-                claimed.append("<unidentifiable>")
+        claimed = [_claimed_app(line) for line in lines]
         self.quarantined = tuple(claimed)
-        # The final journaled state may still carry the quarantined apps'
-        # per-app fault bookkeeping; drop it so their re-crawl starts from
-        # call index 0, like any fresh crawl.
+        # A delta line carries only its own app's fault bookkeeping, so
+        # skipping it already drops that; a version-1 line's successors
+        # still carry it in their full states.  Drop it either way, so
+        # the re-crawl starts from call index 0, like any fresh crawl.
         known = {c for c in claimed if c != "<unidentifiable>"}
-        if known and self._state is not None:
-            transport = self._state.get("transport", {})
-            transport["call_index"] = [
-                entry
-                for entry in transport.get("call_index", [])
-                if entry[1] not in known
-            ]
-            transport["vanished"] = [
-                a for a in transport.get("vanished", []) if a not in known
-            ]
+        if known:
+            self._fold.forget(known)
         logger.warning(
             "quarantined %d corrupt journal line(s) in %s to sidecar "
             "%s (apps: %s); they will be re-crawled",
@@ -528,8 +630,11 @@ class CrawlJournal:
 
     @property
     def state(self) -> dict | None:
-        """The crawler state after the last durable app (``None`` if empty)."""
-        return self._state
+        """The crawler state after the last durable app (``None`` if empty).
+
+        Built fresh from the folded lines on every access.
+        """
+        return self._fold.state()
 
     # -- configuration fingerprint ----------------------------------------
 
@@ -572,9 +677,16 @@ class CrawlJournal:
     # -- writing -----------------------------------------------------------
 
     def append(
-        self, record: CrawlRecord, state: dict, tear: bool = False
+        self, record: CrawlRecord, crawler: AppCrawler, tear: bool = False
     ) -> None:
-        """Make *record* durable; the crawler state rides along.
+        """Make *record* durable; *crawler*'s state delta rides along.
+
+        The line carries :meth:`AppCrawler.delta_state
+        <repro.crawler.crawler.AppCrawler.delta_state>`, and the crawler
+        is marked synced only once the line is durable, so a failed
+        write loses no delta.  The crawler must have been synced to this
+        journal first (:meth:`AppCrawler.journal_prologue
+        <repro.crawler.crawler.AppCrawler.journal_prologue>`).
 
         When this returns, the line is on disk (written + flushed +
         fsynced) — the app counts as done across any crash.  ``tear``
@@ -584,11 +696,12 @@ class CrawlJournal:
         """
         if self._fh is None:
             raise RuntimeError("journal is closed")
+        delta = crawler.delta_state()
         payload = {
             "v": _LINE_VERSION,
             "app_id": record.app_id,
             "record": record_to_jsonable(record),
-            "state": state,
+            "delta": delta,
         }
         line = _encode_line(payload)
         if tear:
@@ -601,14 +714,16 @@ class CrawlJournal:
         self._fh.write(line)
         self._fh.flush()
         os.fsync(self._fh.fileno())
+        crawler.mark_synced()
         self._records[record.app_id] = payload["record"]
-        self._state = state
+        self._fold.fold(delta)
         self._since_compact += 1
+        self._journal_bytes += len(line)
         obs = get_observer()
         if obs.enabled:
             obs.event(
                 "journal.append",
-                t=self._journal_clock(state),
+                t=self._journal_clock(delta),
                 category="checkpoint",
                 app_id=record.app_id,
                 line_bytes=len(line),
@@ -619,7 +734,10 @@ class CrawlJournal:
                 float(len(line)),
                 edges=(1024.0, 4096.0, 16384.0, 65536.0, 262144.0),
             )
-        if self._since_compact >= self.snapshot_every:
+        if (
+            self._since_compact >= self.snapshot_every
+            and self._journal_bytes > self._snapshot_bytes
+        ):
             self.compact()
 
     def compact(self) -> None:
@@ -628,30 +746,36 @@ class CrawlJournal:
         Crash-safe at every step: the snapshot is written via
         :func:`atomic_write` first, and only then is the journal
         truncated.  A crash between the two leaves duplicate entries,
-        which the loader resolves (journal lines win, identically).
+        which the loader resolves: journal lines win, identically, and
+        re-folding a delta onto the state it already produced is a
+        no-op.
         """
-        if self._state is None:
+        state = self._fold.state()
+        if state is None:
             return
         payload = {
             "format_version": 1,
             "records": list(self._records.values()),
-            "state": self._state,
+            "state": state,
             "count": len(self._records),
         }
         doc = {
             "sha256": hashlib.sha256(_canonical(payload)).hexdigest(),
             "payload": payload,
         }
-        atomic_write(self.snapshot_path, json.dumps(doc))
+        data = json.dumps(doc)
+        atomic_write(self.snapshot_path, data)
         if self._fh is not None:
             self._fh.close()
         self._fh = open(self.journal_path, "wb")  # truncate: snapshot owns it
         self._since_compact = 0
+        self._journal_bytes = 0
+        self._snapshot_bytes = len(data)  # ASCII: json.dumps escapes the rest
         obs = get_observer()
         if obs.enabled:
             obs.event(
                 "journal.compact",
-                t=self._journal_clock(self._state),
+                t=self._journal_clock(state),
                 category="checkpoint",
                 records=len(self._records),
             )

@@ -322,7 +322,7 @@ class AppCrawler:
                 tear = crash_plan is not None and crash_plan.due("mid_append")
                 if tear:
                     crash_plan.fired = True
-                journal.append(record, self.snapshot_state(), tear=tear)
+                journal.append(record, self, tear=tear)
                 if crash_plan is not None:
                     crash_plan.check("after_append")
             records[app_id] = record
@@ -337,9 +337,12 @@ class AppCrawler:
 
         With a journal this validates the fingerprint, replays already
         durable records, and restores the crawler's continuation state —
-        the shared resume prologue of the sequential loop and the
-        batch-parallel scheduler.  Pending IDs come back in canonical
-        (sorted) crawl order.
+        the shared resume prologue of the sequential loop, the
+        batch-parallel scheduler and the multi-process supervisor.  It
+        also syncs the crawler to the journal, so the journal's deltas
+        (:meth:`delta_state`) fold onto its state: a restore is the
+        sync point; an empty journal makes everything unsynced.
+        Pending IDs come back in canonical (sorted) crawl order.
         """
         records: dict[str, CrawlRecord] = {}
         pending: list[str] = []
@@ -353,8 +356,11 @@ class AppCrawler:
                     records[app_id] = replayed[app_id]
                 else:
                     pending.append(app_id)
-            if journal.state is not None:
-                self.restore_state(journal.state)
+            state = journal.state
+            if state is not None:
+                self.restore_state(state)
+            else:
+                self._transport.mark_unsynced()
         return records, pending
 
     # -- checkpoint support -----------------------------------------------
@@ -377,6 +383,24 @@ class AppCrawler:
         """Restore a :meth:`snapshot_state` image, in place."""
         self._transport.restore_state(state["transport"])
         self._executor.restore_breakers(state["breakers"])
+
+    def delta_state(self) -> dict:
+        """:meth:`snapshot_state`, less what is unchanged since the last sync.
+
+        What a crawl-journal line carries: the transport's growing
+        bookkeeping only as far as it changed since :meth:`mark_synced`
+        (see :meth:`FaultyTransport.delta_state
+        <repro.platform.transport.FaultyTransport.delta_state>`), the
+        small scalars and the breakers whole.
+        """
+        return {
+            "transport": self._transport.delta_state(),
+            "breakers": self._executor.snapshot_breakers(),
+        }
+
+    def mark_synced(self) -> None:
+        """The last :meth:`delta_state` is durable; the next starts afresh."""
+        self._transport.mark_synced()
 
     def checkpoint_fingerprint(self) -> dict:
         """What a checkpoint must match before this crawler resumes it.

@@ -52,8 +52,8 @@ The scheduler handles both with *speculate-then-commit*:
    degradation to the sequential crawl that preserves exactness.
 
 The checkpoint journal composes unchanged: committed records are
-appended with the real crawler's continuation snapshot, exactly as the
-sequential loop would, so kill-anywhere resume still holds.
+appended with the real crawler's continuation-state delta, exactly as
+the sequential loop would, so kill-anywhere resume still holds.
 """
 
 from __future__ import annotations
@@ -442,7 +442,7 @@ class CrawlScheduler:
                 )
                 obs.count("schedule_commits_total", mode=mode)
             if journal is not None:
-                journal.append(record, self._crawler.snapshot_state())
+                journal.append(record, self._crawler)
             records[app_id] = record
         if obs.enabled:
             obs.gauge(

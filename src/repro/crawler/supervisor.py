@@ -646,7 +646,7 @@ class ShardSupervisor:
             for app_id in pending:
                 record = self._crawler.crawl_app(app_id)
                 if journal is not None:
-                    journal.append(record, self._crawler.snapshot_state())
+                    journal.append(record, self._crawler)
                 records[app_id] = record
             return records
 

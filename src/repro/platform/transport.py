@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import threading
 from collections import Counter
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -323,6 +324,11 @@ class TransportStats:
     #: global clock base differs but the app frame does not.
     app_service_s: float = 0.0
     app_wait_s: float = 0.0
+    #: vanished apps added since the last :meth:`mark_synced` — what a
+    #: delta-encoded journal line must carry of the ``vanished`` set
+    _unsynced_vanished: set[str] = field(
+        default_factory=set, init=False, repr=False, compare=False
+    )
     #: when set (sandbox crawls), every service/wait increment is logged
     #: here in order, so the commit phase can replay the exact global
     #: floating-point accumulation the sequential loop would perform
@@ -401,7 +407,9 @@ class TransportStats:
 
     def add_vanished(self, app_id: str) -> None:
         with self._lock:
-            self.vanished.add(app_id)
+            if app_id not in self.vanished:
+                self.vanished.add(app_id)
+                self._unsynced_vanished.add(app_id)
 
     def fault_count(self) -> int:
         with self._lock:
@@ -412,16 +420,34 @@ class TransportStats:
     def snapshot(self) -> dict[str, Any]:
         """A JSON-serialisable image of the accounting (for checkpoints)."""
         with self._lock:
-            return {
-                "requests": self.requests,
-                "injected": dict(self.injected),
-                "truncated_feeds": self.truncated_feeds,
-                "service_s": self.service_s,
-                "wait_s": self.wait_s,
-                "app_service_s": self.app_service_s,
-                "app_wait_s": self.app_wait_s,
-                "vanished": sorted(self.vanished),
-            }
+            return self._image(self.vanished)
+
+    def delta(self) -> dict[str, Any]:
+        """:meth:`snapshot`, but ``vanished`` holds only unsynced additions."""
+        with self._lock:
+            return self._image(self._unsynced_vanished)
+
+    def _image(self, vanished: set[str]) -> dict[str, Any]:
+        return {
+            "requests": self.requests,
+            "injected": dict(self.injected),
+            "truncated_feeds": self.truncated_feeds,
+            "service_s": self.service_s,
+            "wait_s": self.wait_s,
+            "app_service_s": self.app_service_s,
+            "app_wait_s": self.app_wait_s,
+            "vanished": sorted(vanished),
+        }
+
+    def mark_synced(self) -> None:
+        """Start tracking ``vanished`` additions afresh from here."""
+        with self._lock:
+            self._unsynced_vanished = set()
+
+    def mark_unsynced(self) -> None:
+        """Count every vanished app as unsynced (the journal starts empty)."""
+        with self._lock:
+            self._unsynced_vanished = set(self.vanished)
 
     def restore(self, data: dict[str, Any]) -> None:
         """Restore accounting from a :meth:`snapshot` image, in place."""
@@ -436,6 +462,7 @@ class TransportStats:
             self.app_service_s = float(data.get("app_service_s", 0.0))
             self.app_wait_s = float(data.get("app_wait_s", 0.0))
             self.vanished = set(data["vanished"])
+            self._unsynced_vanished = set()
 
     def apply_events(self, events: list[tuple[str, float]]) -> None:
         """Replay a sandbox's :attr:`event_log` onto this accounting.
@@ -464,7 +491,9 @@ class TransportStats:
                 {kind: int(count) for kind, count in delta["injected"].items()}
             )
             self.truncated_feeds += int(delta["truncated_feeds"])
-            self.vanished |= set(delta["vanished"])
+            added = set(delta["vanished"]) - self.vanished
+            self.vanished |= added
+            self._unsynced_vanished |= added
 
 
 # -- transports ------------------------------------------------------------
@@ -522,6 +551,23 @@ class DirectTransport:
         self.stats.restore(state["stats"])
         self._installer.restore_rng_state(state["installer_rng"])
 
+    def delta_state(self) -> dict[str, Any]:
+        """:meth:`snapshot_state` with only unsynced vanished apps.
+
+        See :meth:`FaultyTransport.delta_state`; the fault-free
+        transport's state is all small scalars.
+        """
+        return {
+            "stats": self.stats.delta(),
+            "installer_rng": self._installer.rng_state(),
+        }
+
+    def mark_synced(self) -> None:
+        self.stats.mark_synced()
+
+    def mark_unsynced(self) -> None:
+        self.stats.mark_unsynced()
+
     def summary(self, app_id: str, day: int | None = None) -> dict[str, Any]:
         self._account("summary", app_id)
         return self._graph_api.summary(app_id, day=day)
@@ -566,6 +612,10 @@ class FaultyTransport:
         self.stats = stats or TransportStats()
         self._vanished: set[str] = set()
         self._call_index: Counter[tuple[str, str]] = Counter()
+        #: what changed since the last :meth:`mark_synced` (the part of
+        #: the state a delta-encoded journal line has to carry)
+        self._unsynced_vanished: set[str] = set()
+        self._unsynced_calls: set[tuple[str, str]] = set()
 
     # -- checkpoint support -----------------------------------------------
 
@@ -577,17 +627,53 @@ class FaultyTransport:
         function of them) and the vanished-app set, so a resumed crawl
         replays exactly the fault plan the interrupted run was on.
         """
+        return self._state_image(
+            self.stats.snapshot(), self._vanished, self._call_index
+        )
+
+    def delta_state(self) -> dict[str, Any]:
+        """The part of :meth:`snapshot_state` changed since the last sync.
+
+        Same shape, but ``vanished`` (both lists) holds only the apps
+        added since :meth:`mark_synced` and ``call_index`` only the
+        ``(endpoint, app)`` counters advanced since then; the small
+        scalars (stats clock, installer RNG) stay whole.  Folding the
+        deltas in order onto the synced state reproduces
+        :meth:`snapshot_state` exactly, at a cost proportional to the
+        change rather than to the whole crawl.
+        """
+        return self._state_image(
+            self.stats.delta(), self._unsynced_vanished, self._unsynced_calls
+        )
+
+    def _state_image(
+        self,
+        stats: dict[str, Any],
+        vanished: set[str],
+        call_keys: Iterable[tuple[str, str]],
+    ) -> dict[str, Any]:
+        call_index = self._call_index
         return {
-            "stats": self.stats.snapshot(),
+            "stats": stats,
             "installer_rng": self._installer.rng_state(),
-            "vanished": sorted(self._vanished),
+            "vanished": sorted(vanished),
             "call_index": [
-                [endpoint, app_id, count]
-                for (endpoint, app_id), count in sorted(
-                    self._call_index.items()
-                )
+                [endpoint, app_id, call_index[(endpoint, app_id)]]
+                for endpoint, app_id in sorted(call_keys)
             ],
         }
+
+    def mark_synced(self) -> None:
+        """The current state is durable: deltas restart from here."""
+        self.stats.mark_synced()
+        self._unsynced_vanished = set()
+        self._unsynced_calls = set()
+
+    def mark_unsynced(self) -> None:
+        """Everything is unsynced: the next delta is the whole state."""
+        self.stats.mark_unsynced()
+        self._unsynced_vanished = set(self._vanished)
+        self._unsynced_calls = set(self._call_index)
 
     def restore_state(self, state: dict[str, Any]) -> None:
         self.stats.restore(state["stats"])
@@ -599,6 +685,7 @@ class FaultyTransport:
                 for endpoint, app_id, count in state.get("call_index", [])
             }
         )
+        self.mark_synced()
 
     # -- scheduler support --------------------------------------------------
     #
@@ -621,7 +708,9 @@ class FaultyTransport:
 
     def seed_vanished(self, app_ids) -> None:
         """Adopt vanished-app tombstones (sandbox seeding / commit merge)."""
-        self._vanished |= set(app_ids)
+        added = set(app_ids) - self._vanished
+        self._vanished |= added
+        self._unsynced_vanished |= added
 
     def call_index_items(self) -> list[tuple[str, str, int]]:
         """The per-``(endpoint, app)`` call counters, sorted."""
@@ -634,6 +723,7 @@ class FaultyTransport:
         """Advance call counters by a sandboxed crawl's consumption."""
         for endpoint, app_id, count in items:
             self._call_index[(endpoint, app_id)] += count
+            self._unsynced_calls.add((endpoint, app_id))
 
     # -- fault machinery ---------------------------------------------------
 
@@ -641,6 +731,7 @@ class FaultyTransport:
         key = (endpoint, app_id)
         index = self._call_index[key]
         self._call_index[key] = index + 1
+        self._unsynced_calls.add(key)
         return index
 
     def _inject(self, endpoint: str, app_id: str) -> Fault | None:
@@ -696,6 +787,7 @@ class FaultyTransport:
             raise RequestTimeoutError(app_id, elapsed=self.plan.timeout_s)
         if fault.kind == "vanish":
             self._vanished.add(app_id)
+            self._unsynced_vanished.add(app_id)
             self.stats.add_vanished(app_id)
             self.stats.add_service(self.plan.base_latency_s)
             if obs.enabled:

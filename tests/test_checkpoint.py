@@ -12,8 +12,11 @@ from __future__ import annotations
 
 import json
 import logging
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.config import ScaleConfig
 from repro.crawler.checkpoint import (
@@ -21,16 +24,18 @@ from repro.crawler.checkpoint import (
     CrashPlan,
     CrawlJournal,
     SimulatedCrash,
+    _encode_line,
     atomic_write,
     next_sidecar_path,
     record_from_jsonable,
     record_to_jsonable,
 )
-from repro.crawler.crawler import make_crawler
+from repro.crawler.crawler import AppCrawler, make_crawler
 from repro.crawler.datasets import DatasetBuilder
 from repro.ecosystem.simulation import run_simulation
 from repro.mypagekeeper.classifier import UrlClassifier
 from repro.mypagekeeper.monitor import MyPageKeeper
+from repro.platform.transport import FaultPlan, FaultyTransport
 
 from tests.conftest import TEST_SCALE, TEST_SEED
 
@@ -197,6 +202,29 @@ def test_interior_corruption_quarantined(
     reopened.close()
 
 
+def test_quarantine_names_victim_when_body_no_longer_parses(
+    tmp_path, pristine_world, sample
+):
+    """A flipped byte that breaks the JSON still leaves the app named:
+    every canonical line body starts with ``{"app_id":"…"``."""
+    apps = sample[:5]
+    with CrawlJournal(tmp_path) as journal:
+        _crawl(pristine_world, apps, journal=journal)
+    path = tmp_path / "journal.jsonl"
+    lines = path.read_bytes().splitlines(keepends=True)
+    victim = json.loads(lines[2].split(b"\t", 1)[1])["app_id"]
+    assert lines[2].endswith(b"}\n")
+    lines[2] = lines[2][:-2] + b"X\n"  # the body's closing brace
+    path.write_bytes(b"".join(lines))
+
+    reopened = CrawlJournal(tmp_path)
+    assert reopened.quarantined == (victim,)
+    assert victim not in reopened
+    resumed = _crawl(pristine_world, apps, journal=reopened)
+    assert sorted(resumed) == apps
+    reopened.close()
+
+
 def test_next_sidecar_path_counts_up(tmp_path):
     target = tmp_path / "journal.jsonl"
     first = next_sidecar_path(target)
@@ -281,9 +309,13 @@ def test_compaction_preserves_resume(tmp_path, pristine_world, sample):
     with CrawlJournal(tmp_path, snapshot_every=3) as journal:
         journaled = _crawl(pristine_world, apps, journal=journal)
     assert (tmp_path / "snapshot.json").exists()
-    # the journal holds only the appends since the last compaction
-    journal_lines = (tmp_path / "journal.jsonl").read_bytes().count(b"\n")
-    assert journal_lines == len(apps) % 3
+    # the journal holds only the appends since the last compaction, which
+    # fires once 3 appends have passed and the journal outgrew the snapshot
+    journal = tmp_path / "journal.jsonl"
+    journal_lines = journal.read_bytes().count(b"\n")
+    assert journal_lines < 3 or (
+        journal.stat().st_size <= (tmp_path / "snapshot.json").stat().st_size
+    )
     reopened = CrawlJournal(tmp_path, snapshot_every=3)
     assert _canon(reopened.records) == _canon(journaled) == _canon(plain)
     reopened.close()
@@ -343,3 +375,156 @@ def test_simulated_crash_not_caught_by_except_exception():
             raise SimulatedCrash("die")
         except Exception:  # noqa: BLE001 - the point of the test
             pytest.fail("SimulatedCrash must not be swallowed as Exception")
+
+
+# -- delta lines: the fold invariant and version-1 compatibility ------------
+
+
+def _blackout_crawler(world, first_s: float) -> AppCrawler:
+    """fault_rate 0.2 plus two outage windows early in the crawl."""
+    plan = FaultPlan(
+        fault_rate=FAULT_RATE,
+        seed=7,
+        blackout_windows=(
+            (first_s, first_s + 120.0),
+            (first_s + 400.0, first_s + 500.0),
+        ),
+    )
+    transport = FaultyTransport(world.graph_api, world.installer, plan)
+    return AppCrawler(world, transport=transport)
+
+
+class _FoldCheckingJournal(CrawlJournal):
+    """Asserts ``state == crawler.snapshot_state()`` after every append."""
+
+    checked = 0
+
+    def append(self, record, crawler, tear=False):
+        super().append(record, crawler, tear=tear)
+        assert self.state == crawler.snapshot_state()
+        self.checked += 1
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    n_apps=st.integers(4, 14),
+    snapshot_every=st.integers(1, 5),
+    first_s=st.floats(0.0, 20.0),
+)
+def test_journal_state_folds_to_snapshot_state(
+    faulted_world, sample, n_apps, snapshot_every, first_s
+):
+    """After every append of a faulted, blacked-out crawl the folded
+    deltas equal the crawler's full state — in memory and reopened."""
+    rng_state = faulted_world.installer.rng_state()
+    try:
+        with tempfile.TemporaryDirectory() as tmp:
+            crawler = _blackout_crawler(faulted_world, first_s)
+            journal = _FoldCheckingJournal(tmp, snapshot_every=snapshot_every)
+            crawler.crawl_many(sample[:n_apps], journal=journal)
+            journal.close()
+            assert journal.checked == n_apps
+            assert crawler.stats.injected["blackout"] > 0
+            reopened = CrawlJournal(tmp, snapshot_every=snapshot_every)
+            assert reopened.state == crawler.snapshot_state()
+            reopened.close()
+    finally:
+        faulted_world.installer.restore_rng_state(rng_state)
+
+
+def test_direct_transport_state_folds(tmp_path, pristine_world, sample):
+    """The fault-free transport's state (no call indexes) folds too."""
+    crawler = AppCrawler(pristine_world)
+    journal = _FoldCheckingJournal(tmp_path, snapshot_every=2)
+    crawler.crawl_many(sample[:5], journal=journal)
+    journal.close()
+    assert journal.checked == 5
+    assert "call_index" not in journal.state["transport"]
+    reopened = CrawlJournal(tmp_path)
+    assert reopened.state == crawler.snapshot_state()
+    reopened.close()
+
+
+def _write_v1_journal(directory: Path, world, apps) -> None:
+    """Crawl *apps* into a journal as format version 1 wrote it: every
+    line carries the full crawler state."""
+    crawler = make_crawler(world)
+    with CrawlJournal(directory) as journal:
+        journal.validate_fingerprint(crawler.checkpoint_fingerprint())
+    with open(directory / "journal.jsonl", "ab") as handle:
+        for app_id in sorted(apps):
+            record = crawler.crawl_app(app_id)
+            handle.write(_encode_line({
+                "v": 1,
+                "app_id": app_id,
+                "record": record_to_jsonable(record),
+                "state": crawler.snapshot_state(),
+            }))
+
+
+def test_v1_journal_resumes_byte_identically(tmp_path, pristine_world, sample):
+    apps = sample[:8]
+    start = pristine_world.installer.rng_state()
+    reference = make_crawler(pristine_world)
+    with CrawlJournal(tmp_path / "v2") as journal:
+        expected = reference.crawl_many(apps, journal=journal)
+    pristine_world.installer.restore_rng_state(start)
+
+    _write_v1_journal(tmp_path / "v1", pristine_world, apps[:3])
+    journal = CrawlJournal(tmp_path / "v1")
+    crawler = make_crawler(pristine_world)
+    resumed = crawler.crawl_many(apps, journal=journal)
+    journal.close()
+
+    assert _canon(resumed) == _canon(expected)
+    assert crawler.snapshot_state() == reference.snapshot_state()
+    # the lines written after the version-1 prefix are the very bytes
+    # an uninterrupted delta journal holds for those apps
+    v1_lines = (tmp_path / "v1" / "journal.jsonl").read_bytes().splitlines()
+    v2_lines = (tmp_path / "v2" / "journal.jsonl").read_bytes().splitlines()
+    assert len(v1_lines) == len(v2_lines) == len(apps)
+    assert v1_lines[3:] == v2_lines[3:]
+    reopened = CrawlJournal(tmp_path / "v1")
+    assert reopened.state == reference.snapshot_state()
+    reopened.close()
+
+
+@pytest.mark.parametrize("version", [1, 2])
+def test_quarantined_app_bookkeeping_dropped(
+    tmp_path, pristine_world, sample, version
+):
+    """A quarantined app's call counters and tombstone leave the state,
+    whether later lines carry them (version-1 full states) or not
+    (deltas), so its re-crawl starts from call index 0."""
+    apps = sample[:6]
+    if version == 1:
+        _write_v1_journal(tmp_path, pristine_world, apps)
+    else:
+        with CrawlJournal(tmp_path) as journal:
+            _crawl(pristine_world, apps, journal=journal)
+    victim = _corrupt_interior_line(tmp_path / "journal.jsonl", index=2)
+    reopened = CrawlJournal(tmp_path)
+    assert reopened.quarantined == (victim,)
+    transport = reopened.state["transport"]
+    assert {app_id for _, app_id, _ in transport["call_index"]} == (
+        set(apps) - {victim}
+    )
+    assert victim not in transport["vanished"]
+    reopened.close()
+
+
+def test_fresh_journal_on_a_used_crawler_starts_from_its_whole_state(
+    tmp_path, pristine_world, sample
+):
+    """A crawler that already crawled (unjournaled, then into another
+    journal) syncs to a fresh journal by sending its whole state first."""
+    crawler = make_crawler(pristine_world)
+    crawler.crawl_many(sample[:3])
+    with CrawlJournal(tmp_path / "first") as first:
+        crawler.crawl_many(sample[3:5], journal=first)
+    with CrawlJournal(tmp_path / "second") as second:
+        crawler.crawl_many(sample[5:7], journal=second)
+        assert second.state == crawler.snapshot_state()
+    reopened = CrawlJournal(tmp_path / "second")
+    assert reopened.state == crawler.snapshot_state()
+    reopened.close()

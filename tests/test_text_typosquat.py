@@ -1,7 +1,8 @@
 """Tests for typosquat detection and version-suffix stripping."""
 
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from repro.text.editdist import name_similarity
 from repro.text.typosquat import is_typosquat, strip_version_suffix
 
 POPULAR = {"FarmVille", "CityVille", "Mafia Wars"}
@@ -53,3 +54,32 @@ class TestTyposquat:
 
     def test_empty_popular_set(self):
         assert not is_typosquat("FarmVile", set())
+
+
+def _naive_is_typosquat(name, popular_names, min_similarity):
+    """The predicate spelled with the naive DP on every pair."""
+    if name in popular_names:
+        return False
+    base, _ = strip_version_suffix(name)
+    if base != name and base in popular_names:
+        return True
+    return any(
+        name_similarity(name, popular) >= min_similarity
+        for popular in popular_names
+    )
+
+
+# A small alphabet makes near-misses (and version suffixes) common.
+_names = st.text(alphabet="FarmVilCty W v12.", max_size=12)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    _names,
+    st.lists(_names, max_size=6),
+    st.sampled_from([0.5, 0.7, 0.8, 0.85, 0.9, 1.0]) | st.floats(0.0, 1.0),
+)
+def test_typosquat_matches_naive_dp(name, popular, min_similarity):
+    assert is_typosquat(name, popular, min_similarity) == _naive_is_typosquat(
+        name, popular, min_similarity
+    )
