@@ -212,17 +212,19 @@ class BenignPopulation:
             )
         )
         count = min(max(count, 1), _MAX_PROFILE_POSTS)
-        for _ in range(count):
-            self._profile_post_serial += 1
-            app.profile_feed.append(
-                Post(
-                    post_id=-self._profile_post_serial,  # not in the wall log
-                    day=int(rng.integers(0, 270)),
-                    user_id=int(rng.integers(0, self._n_users)),
-                    app_id=app.app_id,
-                    message=self._messages.benign_message(app.name),
-                )
+        # Each post draws (day, user) here and (template, n) on the
+        # message stream; each stream's draws are one broadcast call.
+        draws = rng.integers(0, [270, self._n_users] * count).tolist()
+        messages = self._messages.benign_messages(app.name, count)
+        serial = self._profile_post_serial
+        app_id = app.app_id
+        app.profile_feed.extend(
+            Post(-(serial + k), day, user_id, app_id, message=message)
+            for k, (day, user_id, message) in enumerate(
+                zip(draws[0::2], draws[1::2], messages), start=1
             )
+        )
+        self._profile_post_serial = serial + count
 
     # -- posting -------------------------------------------------------------
 
@@ -245,24 +247,31 @@ class BenignPopulation:
             external_ratio = float(rng.beta(a, b))
         internal_link_rate = float(rng.beta(2, 6))
         slug = "".join(ch for ch in app.name.lower() if ch.isalnum()) or "app"
-        days = rng.integers(0, horizon_days, size=n_posts)
-        for day in days:
-            likes, comments = self._messages.benign_engagement()
-            draw = rng.random()
+        external_prefix = f"http://www.{slug}-news.com/update/"
+        internal_link = f"https://apps.facebook.com/{slug}?ref=post"
+        internal_cut = external_ratio + internal_link_rate
+        random, integers = rng.random, rng.integers
+        engagement = self._messages.benign_engagement
+        message_of = self._messages.benign_message
+        add = self._post_log.add
+        app_id, name, n_users = app.app_id, app.name, self._n_users
+        for day in rng.integers(0, horizon_days, size=n_posts).tolist():
+            likes, comments = engagement()
+            draw = random()
             if draw < external_ratio:
-                link = f"http://www.{slug}-news.com/update/{int(rng.integers(1, 50))}"
-            elif draw < external_ratio + internal_link_rate:
-                link = f"https://apps.facebook.com/{slug}?ref=post"
+                link = f"{external_prefix}{int(integers(1, 50))}"
+            elif draw < internal_cut:
+                link = internal_link
             else:
                 link = None
-            self._post_log.new_post(
-                day=int(day),
-                user_id=int(rng.integers(0, self._n_users)),
-                app_id=app.app_id,
-                app_name=app.name,
-                message=self._messages.benign_message(app.name),
-                link=link,
-                likes=likes,
-                comments=comments,
-                truth_malicious=False,
+            add(
+                day,
+                int(integers(0, n_users)),
+                app_id,
+                name,
+                message_of(name),
+                link,
+                likes,
+                comments,
+                False,
             )

@@ -591,7 +591,10 @@ class HackerCampaign:
             and (pod.site is not None or pod.direct_targets)
             and app.app_id not in self.professional_app_ids
         )
-        for day in days:
+        integers = rng.integers
+        add = self._services.post_log.add
+        app_id, name, n_users = app.app_id, app.name, self._services.n_users
+        for day in days.tolist():
             if loud:
                 message, link, likes, comments = self._loud_post(
                     app, pod, external_ratio, can_promote
@@ -604,16 +607,16 @@ class HackerCampaign:
                 message, link, likes, comments = self._stealth_lure_post(
                     app, external_ratio
                 )
-            self._services.post_log.new_post(
-                day=int(day),
-                user_id=int(rng.integers(0, self._services.n_users)),
-                app_id=app.app_id,
-                app_name=app.name,
-                message=message,
-                link=link,
-                likes=likes,
-                comments=comments,
-                truth_malicious=True,
+            add(
+                day,
+                int(integers(0, n_users)),
+                app_id,
+                name,
+                message,
+                link,
+                likes,
+                comments,
+                True,
             )
 
     def _loud_post(

@@ -69,16 +69,53 @@ class MessageFactory:
         n = int(self._rng.integers(1, 10)) * 10 ** int(self._rng.integers(1, 4))
         return template.format(n=n)
 
-    def chatter_message(self) -> str:
-        """A manual (app-less) status update."""
-        template = _CHATTER_TEMPLATES[
-            int(self._rng.integers(0, len(_CHATTER_TEMPLATES)))
-        ]
-        return template.format(n=int(self._rng.integers(1, 400)))
+    def appless_messages(self, spam: list[bool]) -> list[str]:
+        """Texts of consecutive app-less posts, in one draw.
+
+        ``spam[i]`` picks a fresh-template lure
+        (``spam_message(campaign_template())``) over a manual status
+        update for post *i*.  Both draw only ``integers`` here, so the
+        whole run is one broadcast call: the same values, and the same
+        stream state after, as drawing post by post.
+        """
+        lows: list[int] = []
+        highs: list[int] = []
+        for is_spam in spam:
+            if is_spam:
+                lows += (0, 1, 1)
+                highs += (len(_SPAM_TEMPLATES), 10, 4)
+            else:
+                lows += (0, 1)
+                highs += (len(_CHATTER_TEMPLATES), 400)
+        draws = iter(self._rng.integers(lows, highs).tolist())
+        texts = []
+        for is_spam in spam:
+            if is_spam:
+                template = _SPAM_TEMPLATES[next(draws)]
+                texts.append(template.format(n=next(draws) * 10 ** next(draws)))
+            else:
+                template = _CHATTER_TEMPLATES[next(draws)]
+                texts.append(template.format(n=next(draws)))
+        return texts
 
     def benign_message(self, app_name: str) -> str:
         template = _BENIGN_TEMPLATES[int(self._rng.integers(0, len(_BENIGN_TEMPLATES)))]
         return template.format(app=app_name, n=int(self._rng.integers(1, 500)))
+
+    def benign_messages(self, app_name: str, count: int) -> list[str]:
+        """*count* consecutive :meth:`benign_message` calls, in one draw.
+
+        The (template, n) draws of all *count* messages are one
+        broadcast ``integers`` call, which yields the same values and
+        leaves the stream in the same state as the scalar calls.
+        """
+        draws = self._rng.integers(
+            [0, 1] * count, [len(_BENIGN_TEMPLATES), 500] * count
+        ).tolist()
+        return [
+            _BENIGN_TEMPLATES[template].format(app=app_name, n=n)
+            for template, n in zip(draws[0::2], draws[1::2])
+        ]
 
     # -- engagement -------------------------------------------------------
 

@@ -8,6 +8,8 @@ and sometimes typosquats a popular benign name ('FarmVile').
 
 from __future__ import annotations
 
+from bisect import insort
+
 import numpy as np
 
 __all__ = ["NameFactory", "POPULAR_BENIGN_NAMES", "SCAM_BASE_NAMES"]
@@ -71,6 +73,12 @@ _BENIGN_SECOND = (
     "Bakery", "Planet", "Jungle", "Castle", "Circus", "Voyage", "Orchard",
     "Workshop",
 )
+_BENIGN_FIRST_WORDS = frozenset(_BENIGN_FIRST)
+_BENIGN_SECOND_WORDS = frozenset(_BENIGN_SECOND)
+#: Bounds of one failed search for a free pair, as a single broadcast
+#: draw: 60 (first, second) index pairs.
+_PAIR_SEARCH_HIGHS = [len(_BENIGN_FIRST), len(_BENIGN_SECOND)] * 60
+
 _BENIGN_SUFFIX = (
     "", "", "", "", "", " Saga", " Deluxe", " World", " Mania", " Pro",
 )
@@ -93,6 +101,10 @@ class NameFactory:
         self._rng = rng
         self._benign_serial = 0
         self._used_benign_names: set[str] = set()
+        #: ``_used_benign_names`` in sorted order (franchise parents).
+        self._sorted_benign_names: list[str] = []
+        #: Two-word pairs not yet used by any benign name.
+        self._free_benign_pairs = len(_BENIGN_FIRST_WORDS) * len(_BENIGN_SECOND_WORDS)
         self._used_scam_names: set[str] = set()
         self._scam_serial = 0
 
@@ -122,23 +134,38 @@ class NameFactory:
         # 'Happy Farm Saga') — the source of Fig 10's mild benign
         # clustering at low thresholds.
         if self._used_benign_names and rng.random() < 0.15:
-            parents = sorted(self._used_benign_names)
+            parents = self._sorted_benign_names
             parent = parents[int(rng.integers(0, len(parents)))]
             for suffix in (" Saga", " Deluxe", " Pro", " World", " Mania"):
                 candidate = parent + suffix
                 if candidate not in self._used_benign_names:
-                    self._used_benign_names.add(candidate)
-                    return candidate
-        for _ in range(60):
-            first = _BENIGN_FIRST[int(rng.integers(0, len(_BENIGN_FIRST)))]
-            second = _BENIGN_SECOND[int(rng.integers(0, len(_BENIGN_SECOND)))]
-            candidate = f"{first} {second}"
-            if candidate not in self._used_benign_names:
-                self._used_benign_names.add(candidate)
-                return candidate
+                    return self._claim_benign_name(candidate)
+        if not self._free_benign_pairs:
+            # Every pair is taken, so all 60 tries below would fail:
+            # make their 120 draws in one call (the same stream words,
+            # in the same order) and name after the last pair.
+            draws = rng.integers(0, _PAIR_SEARCH_HIGHS)
+            first = _BENIGN_FIRST[int(draws[-2])]
+            second = _BENIGN_SECOND[int(draws[-1])]
+        else:
+            for _ in range(60):
+                first = _BENIGN_FIRST[int(rng.integers(0, len(_BENIGN_FIRST)))]
+                second = _BENIGN_SECOND[int(rng.integers(0, len(_BENIGN_SECOND)))]
+                candidate = f"{first} {second}"
+                if candidate not in self._used_benign_names:
+                    return self._claim_benign_name(candidate)
         # Combinatorial space exhausted: fall back to a serial.
         self._benign_serial += 1
         return f"{first} {second} {self._benign_serial}"
+
+    def _claim_benign_name(self, name: str) -> str:
+        self._used_benign_names.add(name)
+        insort(self._sorted_benign_names, name)
+        first, _, second = name.partition(" ")
+        if first in _BENIGN_FIRST_WORDS and second in _BENIGN_SECOND_WORDS:
+            # a two-word name the pair draw can produce
+            self._free_benign_pairs -= 1
+        return name
 
     # -- malicious -----------------------------------------------------------
 

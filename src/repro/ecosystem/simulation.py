@@ -361,6 +361,10 @@ def _emit_all_posts(
     )
 
 
+#: App-less posts drawn per batch (see :func:`_emit_appless_posts`).
+_APPLESS_BATCH = 256
+
+
 def _emit_appless_posts(
     params: GenerationParams,
     rngs: RngRegistry,
@@ -384,44 +388,40 @@ def _emit_appless_posts(
         for c in campaigns
         if c.loud_lure_urls
     ]
-    for _ in range(budget):
-        day = int(rng.integers(0, horizon_days))
-        user_id = int(rng.integers(0, n_users))
-        if lure_pools and rng.random() < params.appless_malicious_share:
-            pool = lure_pools[int(rng.integers(0, len(lure_pools)))]
-            link = pool[int(rng.integers(0, len(pool)))]
-            likes = int(rng.poisson(0.8))
-            post_log.new_post(
-                day=day,
-                user_id=user_id,
-                app_id=None,
-                message=messages.spam_message(messages.campaign_template()),
-                link=link,
-                likes=likes,
-                comments=int(rng.poisson(0.3)),
-                truth_malicious=True,
+    random, integers, poisson = rng.random, rng.integers, rng.poisson
+    malicious_share = params.appless_malicious_share
+    add = post_log.add
+    # The texts come from the message stream, which nothing else draws
+    # from meanwhile: per batch of posts, draw every other field first,
+    # then all the batch's texts in one call (each stream keeps its
+    # draw order).  Batching bounds the rows held at once.
+    for start in range(0, budget, _APPLESS_BATCH):
+        rows: list[tuple[int, int, str | None, int, int, bool]] = []
+        for _ in range(min(_APPLESS_BATCH, budget - start)):
+            day = int(integers(0, horizon_days))
+            user_id = int(integers(0, n_users))
+            if lure_pools and random() < malicious_share:
+                pool = lure_pools[int(integers(0, len(lure_pools)))]
+                link = pool[int(integers(0, len(pool)))]
+                likes = int(poisson(0.8))
+                rows.append((day, user_id, link, likes, int(poisson(0.3)), True))
+                continue
+            draw = random()
+            if draw < 0.70:
+                link = None
+            elif draw < 0.95:
+                link = (
+                    f"http://blog{int(integers(1, 2000))}.example-news.com/"
+                    f"story/{int(integers(1, 100_000))}"
+                )
+            else:
+                link = f"https://www.facebook.com/photo.php?fbid={int(integers(10**9, 10**10))}"
+            rows.append(
+                (day, user_id, link, int(poisson(6.0)), int(poisson(2.0)), False)
             )
-            continue
-        draw = rng.random()
-        if draw < 0.70:
-            link = None
-        elif draw < 0.95:
-            link = (
-                f"http://blog{int(rng.integers(1, 2000))}.example-news.com/"
-                f"story/{int(rng.integers(1, 100_000))}"
-            )
-        else:
-            link = f"https://www.facebook.com/photo.php?fbid={int(rng.integers(10**9, 10**10))}"
-        post_log.new_post(
-            day=day,
-            user_id=user_id,
-            app_id=None,
-            message=messages.chatter_message(),
-            link=link,
-            likes=int(rng.poisson(6.0)),
-            comments=int(rng.poisson(2.0)),
-            truth_malicious=False,
-        )
+        texts = messages.appless_messages([row[5] for row in rows])
+        for (day, user_id, link, likes, comments, spam), text in zip(rows, texts):
+            add(day, user_id, None, None, text, link, likes, comments, spam)
 
 
 def _allocate(

@@ -10,11 +10,24 @@ from __future__ import annotations
 from repro.collusion.appnets import CollusionAnalyzer, CollusionGraph
 from repro.config import ScaleConfig
 from repro.core.pipeline import FrappePipeline, PipelineResult
+from repro.ml.crossval import ratio_sample_sizes
+from repro.ml.metrics import ClassificationReport
 
-__all__ = ["BENCH_SCALE", "get_result", "get_collusion", "clear_cache"]
+__all__ = [
+    "BENCH_SCALE",
+    "CV_FOLDS",
+    "get_result",
+    "get_collusion",
+    "clear_cache",
+    "resampled_size",
+    "cv_cell",
+]
 
 #: Default scale for benchmark runs (~8,900 apps, ~580K posts).
 BENCH_SCALE = 0.08
+
+#: The paper's cross-validation protocol (Tables 5 and 6): 5 folds.
+CV_FOLDS = 5
 
 _RESULTS: dict[tuple[float, int, bool, float], PipelineResult] = {}
 _COLLUSION: dict[tuple[float, int], CollusionGraph] = {}
@@ -61,3 +74,28 @@ def get_collusion(
 def clear_cache() -> None:
     _RESULTS.clear()
     _COLLUSION.clear()
+
+
+def resampled_size(labels: list[int], ratio: float) -> int:
+    """Samples D-Complete keeps when resampled to *ratio* benign:malicious."""
+    n_malicious = sum(labels)
+    n_benign, n_malicious = ratio_sample_sizes(
+        len(labels) - n_malicious, n_malicious, ratio
+    )
+    return n_benign + n_malicious
+
+
+def cv_cell(
+    report: ClassificationReport | None, labels: list[int], ratio: float
+) -> str:
+    """A CV result's table cell; ``None`` marks a resample too small to fold.
+
+    A tiny world can leave D-Complete with a handful of malicious apps,
+    and a 1:1 resample then holds fewer samples than folds: that row is
+    not measurable, and says how many samples it had.
+    """
+    if report is None:
+        size = resampled_size(labels, ratio)
+        return f"not measurable: {size} samples < {CV_FOLDS} folds"
+    acc, fp, fn = report.as_percentages()
+    return f"acc={acc:.1f}% FP={fp:.1f}% FN={fn:.1f}%"

@@ -8,6 +8,7 @@ from repro.analysis.report import ExperimentReport
 from repro.config import PAPER
 from repro.core.frappe import frappe_lite
 from repro.core.pipeline import PipelineResult
+from repro.experiments import common
 from repro.ml.metrics import ClassificationReport
 
 __all__ = ["run", "cv_at_ratios"]
@@ -19,16 +20,24 @@ def cv_at_ratios(
     result: PipelineResult,
     ratios: dict[str, float] = RATIOS,
     seed: int = 5,
-) -> dict[str, ClassificationReport]:
-    """FRAppE Lite CV on D-Complete at each resampled ratio."""
+) -> dict[str, ClassificationReport | None]:
+    """FRAppE Lite CV on D-Complete at each resampled ratio.
+
+    A ratio whose resample holds fewer samples than folds maps to
+    ``None`` (see :func:`~repro.experiments.common.cv_cell`).
+    """
     records, labels = result.complete_records()
-    out: dict[str, ClassificationReport] = {}
+    out: dict[str, ClassificationReport | None] = {}
     for name, ratio in ratios.items():
-        classifier = frappe_lite(result.extractor)
         capped = _cap_ratio(labels, ratio)
+        if common.resampled_size(labels, capped) < common.CV_FOLDS:
+            out[name] = None
+            continue
+        classifier = frappe_lite(result.extractor)
         out[name] = classifier.cross_validate(
             records,
             labels,
+            k=common.CV_FOLDS,
             benign_per_malicious=capped,
             rng=np.random.default_rng(seed),
         )
@@ -49,12 +58,12 @@ def run(result: PipelineResult) -> ExperimentReport:
         "table5", "FRAppE Lite cross-validation vs class ratio"
     )
     measured = cv_at_ratios(result)
+    _records, labels = result.complete_records()
     for ratio_name, paper_acc, paper_fp, paper_fn in PAPER.frappe_lite_cv:
-        rep = measured[ratio_name]
-        acc, fp, fn = rep.as_percentages()
+        capped = _cap_ratio(labels, RATIOS[ratio_name])
         report.add(
             f"ratio {ratio_name}",
             f"acc={paper_acc}% FP={paper_fp}% FN={paper_fn}%",
-            f"acc={acc:.1f}% FP={fp:.1f}% FN={fn:.1f}%",
+            common.cv_cell(measured[ratio_name], labels, capped),
         )
     return report

@@ -8,6 +8,7 @@ from repro.analysis.report import ExperimentReport
 from repro.config import PAPER
 from repro.core.frappe import FrappeClassifier
 from repro.core.pipeline import PipelineResult
+from repro.experiments import common
 from repro.ml.metrics import ClassificationReport
 
 __all__ = ["run", "single_feature_cv"]
@@ -24,18 +25,24 @@ FEATURE_OF_ROW = {
 }
 
 
+#: A 1:1 resample reproduces the paper's error asymmetry: sparse
+#: features (category/company/permission-count) then flag large benign
+#: fractions instead of defaulting to all-benign.
+RATIO = 1.0
+
+
 def single_feature_cv(
     result: PipelineResult, seed: int = 6
-) -> dict[str, ClassificationReport]:
+) -> dict[str, ClassificationReport | None]:
+    """Per-feature CV; every row is ``None`` if the resample cannot fold."""
     records, labels = result.complete_records()
-    out: dict[str, ClassificationReport] = {}
+    if common.resampled_size(labels, RATIO) < common.CV_FOLDS:
+        return dict.fromkeys(FEATURE_OF_ROW)
+    out: dict[str, ClassificationReport | None] = {}
     for row, feature in FEATURE_OF_ROW.items():
         classifier = FrappeClassifier(result.extractor, features=(feature,))
-        # A 1:1 resample reproduces the paper's error asymmetry: sparse
-        # features (category/company/permission-count) then flag large
-        # benign fractions instead of defaulting to all-benign.
         out[row] = classifier.cross_validate(
-            records, labels, benign_per_malicious=1.0,
+            records, labels, k=common.CV_FOLDS, benign_per_malicious=RATIO,
             rng=np.random.default_rng(seed),
         )
     return out
@@ -50,12 +57,11 @@ def run(result: PipelineResult) -> ExperimentReport:
         "flag many benign apps; client-ID misses many malicious apps",
     )
     measured = single_feature_cv(result)
+    _records, labels = result.complete_records()
     for row, paper_acc, paper_fp, paper_fn in PAPER.single_feature_cv:
-        rep = measured[row]
-        acc, fp, fn = rep.as_percentages()
         report.add(
             row,
             f"acc={paper_acc}% FP={paper_fp}% FN={paper_fn}%",
-            f"acc={acc:.1f}% FP={fp:.1f}% FN={fn:.1f}%",
+            common.cv_cell(measured[row], labels, RATIO),
         )
     return report

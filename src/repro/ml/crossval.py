@@ -14,7 +14,12 @@ import numpy as np
 from repro.ml.metrics import ClassificationReport, confusion_report
 from repro.ml.scaling import StandardScaler
 
-__all__ = ["stratified_kfold_indices", "cross_validate", "subsample_to_ratio"]
+__all__ = [
+    "stratified_kfold_indices",
+    "cross_validate",
+    "ratio_sample_sizes",
+    "subsample_to_ratio",
+]
 
 
 class _Classifier(Protocol):  # pragma: no cover - typing helper
@@ -77,6 +82,20 @@ def cross_validate(
     return pooled
 
 
+def ratio_sample_sizes(
+    n_benign: int, n_malicious: int, benign_per_malicious: float
+) -> tuple[int, int]:
+    """(benign, malicious) counts :func:`subsample_to_ratio` keeps."""
+    if benign_per_malicious <= 0:
+        raise ValueError("ratio must be positive")
+    if n_benign == 0 or n_malicious == 0:
+        raise ValueError("need both classes to resample")
+    # Binding constraint: use all of one class.
+    kept_malicious = max(min(n_malicious, int(n_benign / benign_per_malicious)), 1)
+    kept_benign = min(n_benign, int(round(kept_malicious * benign_per_malicious)))
+    return kept_benign, kept_malicious
+
+
 def subsample_to_ratio(
     x: np.ndarray,
     y: np.ndarray,
@@ -88,19 +107,12 @@ def subsample_to_ratio(
     Keeps as many samples as the ratio allows: whichever class is the
     binding constraint is used in full.
     """
-    if benign_per_malicious <= 0:
-        raise ValueError("ratio must be positive")
     y = np.asarray(y).astype(int).ravel()
     benign_idx = np.flatnonzero(y == 0)
     malicious_idx = np.flatnonzero(y == 1)
-    if len(benign_idx) == 0 or len(malicious_idx) == 0:
-        raise ValueError("need both classes to resample")
-    # Binding constraint: use all of one class.
-    n_malicious = min(
-        len(malicious_idx), int(len(benign_idx) / benign_per_malicious)
+    n_benign, n_malicious = ratio_sample_sizes(
+        len(benign_idx), len(malicious_idx), benign_per_malicious
     )
-    n_malicious = max(n_malicious, 1)
-    n_benign = min(len(benign_idx), int(round(n_malicious * benign_per_malicious)))
     chosen_benign = rng.choice(benign_idx, size=n_benign, replace=False)
     chosen_malicious = rng.choice(malicious_idx, size=n_malicious, replace=False)
     chosen = np.concatenate([chosen_benign, chosen_malicious])

@@ -33,7 +33,7 @@ from repro.mypagekeeper.keywords import spam_keyword_count
 from repro.platform.posts import Post
 from repro.urlinfra.blacklist import UrlBlacklist
 
-__all__ = ["PostFeatures", "url_features", "UrlClassifier"]
+__all__ = ["PostFeatures", "url_features", "url_feature_matrix", "UrlClassifier"]
 
 #: Cap on pairwise message comparisons per URL (keeps features O(1)).
 _SIMILARITY_SAMPLE = 6
@@ -94,6 +94,68 @@ def url_features(posts: list[Post]) -> PostFeatures:
         mean_comments=float(np.mean([p.comments for p in posts])),
         log_post_count=float(np.log1p(len(posts))),
     )
+
+
+def _exact_mean(values: list[float]) -> float:
+    """``float(np.mean(values))``, bit for bit, without numpy when short.
+
+    numpy sums fewer than 8 elements left to right (longer arrays
+    pairwise), so a plain loop reproduces those sums exactly; ``sum()``
+    would not, as it compensates rounding from Python 3.12 on.
+    """
+    if len(values) >= 8:
+        return float(np.mean(values))
+    total = 0.0
+    for value in values:
+        total += value
+    return total / len(values)
+
+
+def url_feature_matrix(groups: list[list[Post]]) -> np.ndarray:
+    """Rows of :func:`url_features` for every group, in one pass.
+
+    Row *i* equals ``url_features(groups[i]).as_array()`` bit for bit;
+    :func:`url_features` stays as the reference.  Keyword densities are
+    memoised per message for this call only: half the linked posts
+    repeat a text already seen (campaign lures, game updates).
+    """
+    density_of: dict[str, float] = {}
+    log_size_of: dict[int, float] = {}
+    rows: list[tuple[float, float, float, float, float]] = []
+    for posts in groups:
+        size = len(posts)
+        if not size:
+            raise ValueError("need at least one post")
+        densities = []
+        for post in posts:
+            message = post.message
+            density = density_of.get(message)
+            if density is None:
+                density = spam_keyword_count(message) / max(len(message.split()), 1)
+                density_of[message] = density
+            densities.append(density)
+        if size < 2:
+            similarity = 0.0
+        else:
+            token_sets = [_token_set(p.message) for p in posts[:_SIMILARITY_SAMPLE]]
+            similarity = _exact_mean(
+                [_jaccard(a, b) for a, b in combinations(token_sets, 2)]
+            )
+        log_size = log_size_of.get(size)
+        if log_size is None:
+            log_size = log_size_of[size] = float(np.log1p(size))
+        # Like/comment counts are small integers: their float sums are
+        # exact in any order, so the integer mean equals numpy's.
+        rows.append(
+            (
+                _exact_mean(densities),
+                similarity,
+                sum(post.likes for post in posts) / size,
+                sum(post.comments for post in posts) / size,
+                log_size,
+            )
+        )
+    return np.array(rows, dtype=float).reshape(len(rows), 5)
 
 
 class UrlClassifier:
@@ -179,15 +241,16 @@ class UrlClassifier:
         """
         flagged: set[str] = set()
         pending_urls: list[str] = []
-        pending_features: list[np.ndarray] = []
+        pending_groups: list[list[Post]] = []
+        contains = self._blacklist.contains
         for url, posts in posts_by_url.items():
-            if self._blacklist.contains(url, day):
+            if contains(url, day):
                 flagged.add(url)
             else:
                 pending_urls.append(url)
-                pending_features.append(url_features(posts).as_array())
+                pending_groups.append(posts)
         if pending_urls:
-            matrix = self._scaler.transform(np.vstack(pending_features))
+            matrix = self._scaler.transform(url_feature_matrix(pending_groups))
             predictions = self._svm.predict(matrix)
             flagged.update(
                 url for url, hit in zip(pending_urls, predictions) if hit

@@ -13,7 +13,7 @@ uses to spot piggybacked popular apps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.mypagekeeper.classifier import UrlClassifier
 from repro.platform.posts import Post, PostLog
@@ -69,28 +69,31 @@ class MyPageKeeper:
     def scan(self, day: int | None = None) -> MonitorReport:
         """Classify every URL seen in the log (up to *day*, if given)."""
         posts_by_url: dict[str, list[Post]] = {}
-        scanned = 0
-        counts: dict[str | None, list[int]] = {}
-        eligible: list[Post] = []
-        for post in self._post_log:
-            if day is not None and post.day > day:
-                continue
-            scanned += 1
-            eligible.append(post)
-            if post.link is not None:
-                posts_by_url.setdefault(post.link, []).append(post)
+        eligible = [
+            post for post in self._post_log if day is None or post.day <= day
+        ]
+        for post in eligible:
+            link = post.link
+            if link is not None:
+                group = posts_by_url.get(link)
+                if group is None:
+                    posts_by_url[link] = [post]
+                else:
+                    group.append(post)
 
         flagged_urls = self._classifier.classify_many(posts_by_url, day)
         flagged_post_ids: set[int] = set()
+        counts: dict[str | None, list[int]] = {}
         for post in eligible:
-            flagged = post.link in flagged_urls
-            if flagged:
-                flagged_post_ids.add(post.post_id)
-            entry = counts.setdefault(post.app_id, [0, 0])
-            entry[0] += int(flagged)
+            entry = counts.get(post.app_id)
+            if entry is None:
+                entry = counts[post.app_id] = [0, 0]
             entry[1] += 1
+            if post.link in flagged_urls:
+                flagged_post_ids.add(post.post_id)
+                entry[0] += 1
         return MonitorReport(
-            posts_scanned=scanned,
+            posts_scanned=len(eligible),
             flagged_urls=flagged_urls,
             flagged_post_ids=flagged_post_ids,
             app_post_counts={k: (v[0], v[1]) for k, v in counts.items()},

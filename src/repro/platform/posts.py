@@ -10,7 +10,7 @@ records hidden truth about who really produced it.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator
 
 __all__ = ["Post", "PostLog"]
@@ -70,8 +70,42 @@ class PostLog:
 
     def new_post(self, **kwargs) -> Post:
         """Create, append, and return a post with the next post ID."""
-        post = Post(post_id=len(self._posts), **kwargs)
-        self.append(post)
+        return self.add(**kwargs)
+
+    def add(
+        self,
+        day: int,
+        user_id: int,
+        app_id: str | None,
+        app_name: str | None = None,
+        message: str = "",
+        link: str | None = None,
+        likes: int = 0,
+        comments: int = 0,
+        truth_malicious: bool = False,
+        truth_piggybacked: bool = False,
+    ) -> Post:
+        """:meth:`new_post` with positional fields, for the emitters.
+
+        The log assigns the ID itself, so no density check is needed.
+        """
+        posts = self._posts
+        post = Post(
+            len(posts),
+            day,
+            user_id,
+            app_id,
+            app_name,
+            message,
+            link,
+            likes,
+            comments,
+            truth_malicious,
+            truth_piggybacked,
+        )
+        posts.append(post)
+        if app_id is not None:
+            self._index(post)
         return post
 
     def append(self, post: Post) -> None:
@@ -82,12 +116,23 @@ class PostLog:
             )
         self._posts.append(post)
         if post.app_id is not None:
-            self._post_ids_by_app.setdefault(post.app_id, []).append(post.post_id)
-            if post.app_name is not None:
-                self._name_of_app.setdefault(post.app_id, post.app_name)
-            if post.link is not None:
-                counts = self._url_counts_by_app.setdefault(post.app_id, Counter())
-                counts[post.link] += 1
+            self._index(post)
+
+    def _index(self, post: Post) -> None:
+        """Fold an app post into the per-app aggregates."""
+        app_id = post.app_id
+        post_ids = self._post_ids_by_app.get(app_id)
+        if post_ids is None:
+            self._post_ids_by_app[app_id] = [post.post_id]
+        else:
+            post_ids.append(post.post_id)
+        if post.app_name is not None and app_id not in self._name_of_app:
+            self._name_of_app[app_id] = post.app_name
+        if post.link is not None:
+            counts = self._url_counts_by_app.get(app_id)
+            if counts is None:
+                counts = self._url_counts_by_app[app_id] = Counter()
+            counts[post.link] += 1
 
     def get(self, post_id: int) -> Post:
         return self._posts[post_id]

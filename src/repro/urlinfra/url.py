@@ -7,6 +7,7 @@ agrees on what the host, path, and query parameters of a URL are.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from urllib.parse import parse_qsl, urlencode, urlsplit
 
@@ -69,12 +70,30 @@ def registered_domain(host: str) -> str:
     return ".".join(labels[-2:])
 
 
+#: An ``http(s)://host`` prefix that ``urlsplit`` needs no rule for: a
+#: lowercase scheme, then a host of plain ASCII characters (no user,
+#: port, brackets, whitespace or control characters) that ends the
+#: string or is followed by a path, query or fragment.
+_PLAIN_HOST = re.compile(r"https?://([A-Za-z0-9.-]+)(?=[/?#]|\Z)")
+
+
 def domain_of(raw: str) -> str:
-    """Registered domain of a raw URL string (empty string if unparsable)."""
+    """Registered domain of a raw URL string (empty string if unparsable).
+
+    Equals ``Url.parse(raw).domain`` (``""`` where that raises), but
+    splits off only the host: no query parsing, no :class:`Url`, and no
+    ``urlsplit`` at all for a plain ``http(s)://host`` URL.
+    """
+    plain = _PLAIN_HOST.match(raw) if isinstance(raw, str) else None
+    if plain is not None:
+        return registered_domain(plain.group(1))
     try:
-        return Url.parse(raw).domain
+        parts = urlsplit(raw)
     except ValueError:
         return ""
+    if not parts.scheme or not parts.netloc:
+        return ""
+    return registered_domain(parts.netloc)
 
 
 def is_facebook_url(raw: str) -> bool:

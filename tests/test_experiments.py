@@ -98,3 +98,45 @@ class TestExperimentSemantics:
         measured = report.measured_by_metric()
         total = int(measured["colluding apps"])
         assert total == len(collusion.graph)
+
+
+class _TinyComplete:
+    """The shared result with D-Complete cut to a few malicious apps."""
+
+    def __init__(self, result, n_malicious: int, n_benign: int = 40) -> None:
+        records, labels = result.complete_records()
+        malicious = [i for i, label in enumerate(labels) if label][:n_malicious]
+        benign = [i for i, label in enumerate(labels) if not label][:n_benign]
+        keep = sorted(malicious + benign)
+        self._records = [records[i] for i in keep]
+        self._labels = [labels[i] for i in keep]
+        self.extractor = result.extractor
+
+    def complete_records(self):
+        return self._records, self._labels
+
+
+class TestCrossValidationAtTinyScale:
+    """Two malicious apps leave a 1:1 resample of 4 samples, under 5 folds."""
+
+    def test_table5_marks_the_unfoldable_ratio(self, pipeline_result):
+        tiny = _TinyComplete(pipeline_result, n_malicious=2)
+        assert table5.cv_at_ratios(tiny)["1:1"] is None
+        measured = table5.run(tiny).measured_by_metric()
+        assert measured["ratio 1:1"] == "not measurable: 4 samples < 5 folds"
+        for ratio in ("4:1", "7:1", "10:1"):
+            assert measured[f"ratio {ratio}"].startswith("acc=")
+
+    def test_table6_marks_every_row_when_1_to_1_cannot_fold(self, pipeline_result):
+        tiny = _TinyComplete(pipeline_result, n_malicious=2)
+        measured = table6.run(tiny).measured_by_metric()
+        assert set(measured.values()) == {"not measurable: 4 samples < 5 folds"}
+
+    def test_foldable_worlds_render_as_before(self, pipeline_result):
+        tiny = _TinyComplete(pipeline_result, n_malicious=3)
+        measured = table5.run(tiny).measured_by_metric()
+        # 3 malicious + 3 benign = 6 samples: measurable
+        assert all(value.startswith("acc=") for value in measured.values())
+        rep = table5.cv_at_ratios(tiny)["1:1"]
+        acc, fp, fn = rep.as_percentages()
+        assert measured["ratio 1:1"] == f"acc={acc:.1f}% FP={fp:.1f}% FN={fn:.1f}%"

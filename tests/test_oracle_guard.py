@@ -2,8 +2,9 @@
 
 The naive kernels (``editdist.name_similarity``, the per-record
 ``FeatureExtractor.vector``, ``cluster_names(kernel="naive")``, SMO
-without its row cache) stay in the code base as the oracles the fast
-paths are tested against, and the crawler's full
+without its row cache, MyPageKeeper's per-URL ``url_features``) stay
+in the code base as the oracles the fast paths are tested against, and
+the crawler's full
 ``FaultyTransport.snapshot_state`` stays as what the journal's folded
 deltas must equal.  None of them belongs on the hot
 path: a faulted, journaled ``FrappePipeline.run`` must finish with every
@@ -16,6 +17,7 @@ from repro.config import ScaleConfig
 from repro.core.features import FeatureExtractor
 from repro.core.pipeline import FrappePipeline
 from repro.ml import svm
+from repro.mypagekeeper import classifier
 from repro.platform.transport import FaultyTransport
 from repro.text import clustering, editdist, typosquat
 
@@ -38,6 +40,9 @@ def test_faulted_journaled_pipeline_never_enters_an_oracle(
         )
     monkeypatch.setattr(
         FeatureExtractor, "vector", _oracle("FeatureExtractor.vector")
+    )
+    monkeypatch.setattr(
+        classifier, "url_features", _oracle("classifier.url_features")
     )
     fast_cluster_names = clustering.cluster_names
 

@@ -63,3 +63,50 @@ def test_derive_seed_is_stable_and_in_range(seed, name):
 @given(st.integers(min_value=0, max_value=1000))
 def test_derive_seed_differs_across_names(seed):
     assert derive_seed(seed, "a") != derive_seed(seed, "b")
+
+
+# -- exact-stream batching -----------------------------------------------
+#
+# The simulation's fast paths replace a run of consecutive scalar
+# ``integers(lo, hi)`` calls on one stream by one broadcast call
+# ``integers(lows, highs)``.  That is only sound while numpy's bounded
+# integer sampler draws the same words in the same order either way;
+# a numpy release that changes this must fail here, not silently
+# change every simulated world.
+
+_BOUNDS = st.lists(
+    st.tuples(
+        st.integers(min_value=-(10**6), max_value=10**6),
+        st.sampled_from([1, 2, 3, 10, 30, 270, 500, 2**31, 10**12, 2**62]),
+    ),
+    min_size=1,
+    max_size=60,
+)
+
+
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1), bounds=_BOUNDS)
+def test_broadcast_integers_replay_scalar_calls(seed, bounds):
+    lows = [low for low, _span in bounds]
+    highs = [low + span for low, span in bounds]
+    scalar = np.random.default_rng(seed)
+    expected = [int(scalar.integers(lo, hi)) for lo, hi in zip(lows, highs)]
+    batched = np.random.default_rng(seed)
+    got = batched.integers(lows, highs)
+    assert got.tolist() == expected
+    # the generator is left in the same state: the next draw agrees
+    assert batched.random() == scalar.random()
+    assert int(batched.integers(0, 7)) == int(scalar.integers(0, 7))
+
+
+def test_broadcast_integers_replay_interleaved_small_bounds():
+    """The exact shape the profile-feed and name batches use."""
+    for seed in range(50):
+        scalar = np.random.default_rng(seed)
+        expected = []
+        for _ in range(40):
+            expected.append(int(scalar.integers(0, 270)))
+            expected.append(int(scalar.integers(0, 9_000)))
+        batched = np.random.default_rng(seed)
+        got = batched.integers(np.tile([0, 0], 40), np.tile([270, 9_000], 40))
+        assert got.tolist() == expected
+        assert batched.random() == scalar.random()
