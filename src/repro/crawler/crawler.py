@@ -442,13 +442,12 @@ class AppCrawler:
         record.outcomes["summary"] = outcome
         first = schedule.summary_crawl_day
         last = first + schedule.crawl_months * 30
+        app_id = record.app_id
+        call = self._executor.call
+        fetch = self._transport.summary
         for day in range(first, last, 7):
-            summary = self._executor.call(
-                "summary",
-                record.app_id,
-                lambda day=day: self._transport.summary(record.app_id, day=day),
-                outcome,
-                deadline_at=deadline_at,
+            summary = call(
+                "summary", app_id, fetch, outcome, deadline_at, (app_id, day)
             )
             if summary is None:
                 continue
@@ -465,11 +464,10 @@ class AppCrawler:
         feed = self._executor.call(
             "feed",
             record.app_id,
-            lambda: self._transport.profile_feed(
-                record.app_id, day=self._world.schedule.profilefeed_crawl_day
-            ),
+            self._transport.profile_feed,
             outcome,
-            deadline_at=deadline_at,
+            deadline_at,
+            (record.app_id, self._world.schedule.profilefeed_crawl_day),
         )
         if feed is None:
             return
@@ -486,9 +484,10 @@ class AppCrawler:
         prompt = self._executor.call(
             "install",
             record.app_id,
-            lambda: self._transport.visit_install_url(record.app_id, day=day),
+            self._transport.visit_install_url,
             outcome,
-            deadline_at=deadline_at,
+            deadline_at,
+            (record.app_id, day),
         )
         if prompt is None:
             return

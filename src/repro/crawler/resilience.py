@@ -307,64 +307,78 @@ class ResilientExecutor:
         fn,
         outcome: CrawlOutcome,
         deadline_at: float | None = None,
+        args: tuple = (),
     ):
-        """Run ``fn`` with retries; returns the result or ``None``.
+        """Run ``fn(*args)`` with retries; returns the result or ``None``.
 
         Updates *outcome* in place: attempts and faults accumulate (one
         outcome may span several requests, e.g. the weekly summary
         queries), and ``status`` is set to the worst applicable verdict
         so far — OK sticks once any request succeeded, GAVE_UP records
         an exhausted budget, PERMANENT an authoritative removal.
+
+        This is the crawler's per-request hot path, so it does only the
+        work a request needs: while the breaker is closed its cooldown
+        and admission checks are skipped (both are exact no-ops there),
+        and the jitter RNG and its key are built only when a retry
+        actually draws jitter.
         """
-        breaker = self.breaker(endpoint)
+        breaker = self.breakers.get(endpoint)
+        if breaker is None:
+            breaker = self.breaker(endpoint)
+        stats = self.stats
+        policy = self.policy
         obs = get_observer()
+        traced = obs.enabled
+        # the jitter key names the attempt count this call started at
+        first_attempt = outcome.attempts
         rng: np.random.Generator | None = None
-        rng_key = f"retry:{endpoint}:{app_id}:{outcome.attempts}"
-        started = self.stats.app_elapsed_s
+        started = stats.app_elapsed_s
         try:
-            for attempt in range(self.policy.max_attempts):
-                wait = breaker.cooldown_remaining(self.stats.app_elapsed_s)
-                if wait > 0.0:
-                    if self._past_deadline(deadline_at, wait):
+            for attempt in range(policy.max_attempts):
+                if breaker.state != CircuitBreaker.CLOSED:
+                    wait = breaker.cooldown_remaining(stats.app_elapsed_s)
+                    if wait > 0.0:
+                        if self._past_deadline(deadline_at, wait):
+                            self._mark(outcome, GAVE_UP)
+                            return None
+                        stats.add_wait(wait)
+                        if traced:
+                            obs.event(
+                                "breaker.cooldown_wait",
+                                t=stats.app_elapsed_s,
+                                endpoint=endpoint,
+                                app_id=app_id,
+                                wait_s=wait,
+                            )
+                            obs.observe("breaker_cooldown_wait_seconds", wait)
+                    before = breaker.state
+                    allowed = breaker.allow(stats.app_elapsed_s)
+                    if traced:
+                        self._note_transition(obs, endpoint, app_id, before, breaker)
+                    if not allowed:
                         self._mark(outcome, GAVE_UP)
                         return None
-                    self.stats.add_wait(wait)
-                    if obs.enabled:
-                        obs.event(
-                            "breaker.cooldown_wait",
-                            t=self.stats.app_elapsed_s,
-                            endpoint=endpoint,
-                            app_id=app_id,
-                            wait_s=wait,
-                        )
-                        obs.observe("breaker_cooldown_wait_seconds", wait)
-                before = breaker.state
-                allowed = breaker.allow(self.stats.app_elapsed_s)
-                if obs.enabled:
-                    self._note_transition(obs, endpoint, app_id, before, breaker)
-                if not allowed:
-                    self._mark(outcome, GAVE_UP)
-                    return None
                 outcome.attempts += 1
-                if obs.enabled:
+                if traced:
                     obs.event(
                         "retry.attempt",
-                        t=self.stats.app_elapsed_s,
+                        t=stats.app_elapsed_s,
                         endpoint=endpoint,
                         app_id=app_id,
                         attempt=attempt,
                     )
                     obs.count("retry_attempts_total", endpoint=endpoint)
                 try:
-                    result = fn()
+                    result = fn(*args)
                 except TransientGraphApiError as error:
                     outcome.faults.append(error.kind)
                     before = breaker.state
-                    breaker.record_failure(self.stats.app_elapsed_s)
-                    if obs.enabled:
+                    breaker.record_failure(stats.app_elapsed_s)
+                    if traced:
                         obs.event(
                             "retry.fault",
-                            t=self.stats.app_elapsed_s,
+                            t=stats.app_elapsed_s,
                             endpoint=endpoint,
                             app_id=app_id,
                             kind=error.kind,
@@ -372,28 +386,29 @@ class ResilientExecutor:
                         )
                         obs.count("retry_faults_total", kind=error.kind)
                         self._note_transition(obs, endpoint, app_id, before, breaker)
-                    if attempt + 1 >= self.policy.max_attempts:
+                    if attempt + 1 >= policy.max_attempts:
                         self._mark(outcome, GAVE_UP)
                         return None
                     # A rate-limit hint that already overruns the
                     # deadline makes the retry hopeless before any
                     # jitter is drawn: give up now, sleep nothing.
                     if self._past_deadline(
-                        deadline_at, self.policy.mandatory_delay(error)
+                        deadline_at, policy.mandatory_delay(error)
                     ):
                         self._mark(outcome, GAVE_UP)
                         return None
                     if rng is None:  # jitter RNG, derived only when needed
+                        rng_key = f"retry:{endpoint}:{app_id}:{first_attempt}"
                         rng = np.random.default_rng(derive_seed(self._seed, rng_key))
-                    delay = self.policy.delay_for(error, attempt, rng)
+                    delay = policy.delay_for(error, attempt, rng)
                     if self._past_deadline(deadline_at, delay):
                         self._mark(outcome, GAVE_UP)
                         return None
-                    self.stats.add_wait(delay)
-                    if obs.enabled:
+                    stats.add_wait(delay)
+                    if traced:
                         obs.event(
                             "retry.backoff",
-                            t=self.stats.app_elapsed_s,
+                            t=stats.app_elapsed_s,
                             endpoint=endpoint,
                             app_id=app_id,
                             delay_s=delay,
@@ -404,21 +419,21 @@ class ResilientExecutor:
                     # healthy (it answered), so the breaker resets.
                     before = breaker.state
                     breaker.record_success()
-                    if obs.enabled:
+                    if traced:
                         self._note_transition(obs, endpoint, app_id, before, breaker)
                     self._mark(outcome, PERMANENT)
                     return None
                 else:
                     before = breaker.state
                     breaker.record_success()
-                    if obs.enabled:
+                    if traced:
                         self._note_transition(obs, endpoint, app_id, before, breaker)
                     outcome.status = OK
                     return result
             self._mark(outcome, GAVE_UP)
             return None
         finally:
-            outcome.elapsed_s += self.stats.app_elapsed_s - started
+            outcome.elapsed_s += stats.app_elapsed_s - started
 
     def _note_transition(
         self,

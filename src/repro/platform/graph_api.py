@@ -56,9 +56,9 @@ class GraphApi:
         (the paper crawled weekly over March–May and derived per-month
         MAU medians/maxima, Fig 4).
         """
-        if not self.exists(app_id, day):
+        app = self._registry.maybe_get(app_id)  # exists() inlined: one lookup per request
+        if app is None or app.is_deleted(day):
             raise GraphApiError(app_id)
-        app = self._registry.get(app_id)
         if app.mau_series:
             if day is None:
                 month = len(app.mau_series) - 1
@@ -82,9 +82,9 @@ class GraphApi:
 
     def profile_feed(self, app_id: str, day: int | None = None) -> list[dict[str, Any]]:
         """Posts on the app's profile page (message, link, created time)."""
-        if not self.exists(app_id, day):
+        app = self._registry.maybe_get(app_id)  # exists() inlined: one lookup per request
+        if app is None or app.is_deleted(day):
             raise GraphApiError(app_id)
-        app = self._registry.get(app_id)
         return [
             {
                 "message": post.message,

@@ -304,10 +304,14 @@ class TransportStats:
     (backoff, retry-after, circuit-breaker cooldowns).  Their sum is the
     simulated wall clock the resilience layer schedules against.
 
-    The verdict service shares one transport (hence one stats clock)
-    across in-flight requests, so every mutation goes through a method
-    that holds an internal lock; lost updates would silently shrink the
-    simulated clock and break deterministic replay.
+    Nothing in the program mutates one instance from two threads: the
+    verdict service runs its in-flight requests one at a time on the
+    simulated clock, and the batch-parallel scheduler gives every
+    sandboxed crawl its own stats.  Every mutation still goes through a
+    method that holds an internal lock, as a defence: a lost update
+    would silently shrink the simulated clock and break deterministic
+    replay.  The per-request path takes that lock once per read of the
+    clock and once per :meth:`add_call`.
     """
 
     requests: int = 0
@@ -382,6 +386,15 @@ class TransportStats:
     def add_request(self) -> None:
         with self._lock:
             self.requests += 1
+
+    def add_call(self, seconds: float) -> None:
+        """:meth:`add_request` then :meth:`add_service`, in one acquisition."""
+        with self._lock:
+            self.requests += 1
+            self.service_s += seconds
+            self.app_service_s += seconds
+            if self.event_log is not None:
+                self.event_log.append(("s", seconds))
 
     def add_service(self, seconds: float) -> None:
         with self._lock:
@@ -521,8 +534,7 @@ class DirectTransport:
         self.stats = stats or TransportStats()
 
     def _account(self, endpoint: str, app_id: str) -> None:
-        self.stats.add_request()
-        self.stats.add_service(self._base_latency_s)
+        self.stats.add_call(self._base_latency_s)
         obs = get_observer()
         if obs.enabled:
             # Error-biased recording: successful calls are the hot path
@@ -740,7 +752,6 @@ class FaultyTransport:
         Returns the fault for kinds the endpoint handler must apply to
         the *response* (truncation); raises for request-level faults.
         """
-        self.stats.add_request()
         obs = get_observer()
         window = self.plan.blackout_at(self.stats.elapsed_s)
         if window is not None:
@@ -749,18 +760,18 @@ class FaultyTransport:
             # no call index advances — the same crawl replayed after the
             # window sees exactly the per-call faults it would have.
             self.stats.add_fault("blackout")
-            self.stats.add_service(self.plan.error_latency_s)
+            self.stats.add_call(self.plan.error_latency_s)
             if obs.enabled:
                 self._note_fault(obs, endpoint, app_id, "blackout")
             raise PlatformBlackoutError(app_id, resume_at=window[1])
         if app_id in self._vanished:
-            self.stats.add_service(self.plan.base_latency_s)
+            self.stats.add_call(self.plan.base_latency_s)
             if obs.enabled:
                 self._note_request(obs, endpoint, app_id, "gone")
             raise GraphApiError(app_id)
         fault = self.plan.draw(endpoint, app_id, self._next_index(endpoint, app_id))
         if fault is None:
-            self.stats.add_service(self.plan.base_latency_s)
+            self.stats.add_call(self.plan.base_latency_s)
             if obs.enabled:
                 # Error-biased recording: the fault-free fast path keeps
                 # aggregate metrics only — the retry layer has already
@@ -771,17 +782,17 @@ class FaultyTransport:
             return None
         self.stats.add_fault(fault.kind)
         if fault.kind == "rate_limit":
-            self.stats.add_service(self.plan.error_latency_s)
+            self.stats.add_call(self.plan.error_latency_s)
             if obs.enabled:
                 self._note_fault(obs, endpoint, app_id, fault.kind)
             raise RateLimitError(app_id, retry_after=fault.retry_after)
         if fault.kind == "server_error":
-            self.stats.add_service(self.plan.error_latency_s)
+            self.stats.add_call(self.plan.error_latency_s)
             if obs.enabled:
                 self._note_fault(obs, endpoint, app_id, fault.kind)
             raise TransientServerError(app_id)
         if fault.kind == "timeout":
-            self.stats.add_service(self.plan.timeout_s)
+            self.stats.add_call(self.plan.timeout_s)
             if obs.enabled:
                 self._note_fault(obs, endpoint, app_id, fault.kind)
             raise RequestTimeoutError(app_id, elapsed=self.plan.timeout_s)
@@ -789,12 +800,12 @@ class FaultyTransport:
             self._vanished.add(app_id)
             self._unsynced_vanished.add(app_id)
             self.stats.add_vanished(app_id)
-            self.stats.add_service(self.plan.base_latency_s)
+            self.stats.add_call(self.plan.base_latency_s)
             if obs.enabled:
                 self._note_fault(obs, endpoint, app_id, fault.kind)
             raise GraphApiError(app_id)
         # truncate: the request succeeds but the response is cut short.
-        self.stats.add_service(self.plan.base_latency_s)
+        self.stats.add_call(self.plan.base_latency_s)
         if obs.enabled:
             self._note_fault(obs, endpoint, app_id, fault.kind)
         return fault

@@ -383,3 +383,20 @@ class TestTransportStatsThreadSafety:
         finally:
             stop.set()
             thread.join()
+
+
+def test_add_call_is_add_request_then_add_service():
+    # The transports' one-acquisition accounting must leave the same
+    # counters, clocks (bit for bit) and sandbox event log as the two
+    # separate calls it replaces.
+    latencies = [0.35, 0.12, 30.0, 0.35, 1e-3]
+    fused, split = TransportStats(event_log=[]), TransportStats(event_log=[])
+    for stats in (fused, split):
+        stats.add_wait(2.5)
+    for seconds in latencies:
+        fused.add_call(seconds)
+        split.add_request()
+        split.add_service(seconds)
+    assert fused.snapshot() == split.snapshot()
+    assert fused.app_elapsed_s == split.app_elapsed_s
+    assert fused.event_log == split.event_log
